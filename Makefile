@@ -62,10 +62,13 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz budget over the network churn property
-# (opens, probes, teardowns, link failures/repairs interleaved).
+# Short coverage-guided fuzz budgets over the network churn property
+# (opens, probes, teardowns, link failures/repairs interleaved) and over
+# checkpoint restore of corrupted payloads (error or audited fabric,
+# never a panic). Go fuzzes one target per run, so each gets FUZZTIME.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreState -fuzztime=$(FUZZTIME) ./internal/network
 
 # Million-event churn soak: Poisson session arrivals/departures, flash
 # crowds, regional outages, and kill+restore cycles from checkpoints at

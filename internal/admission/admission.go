@@ -85,11 +85,13 @@ func (a *LinkAllocator) Headroom() int {
 // configured geometry (round length, reserve, concurrency) is not part
 // of the state: a restored allocator must be built with the same
 // configuration, which the checkpoint envelope's config hash enforces.
-func (a *LinkAllocator) RestoreState(guaranteed, peak, conns int) {
+// Negative registers are refused.
+func (a *LinkAllocator) RestoreState(guaranteed, peak, conns int) error {
 	if guaranteed < 0 || peak < 0 || conns < 0 {
-		panic(fmt.Sprintf("admission: negative restored state (%d,%d,%d)", guaranteed, peak, conns))
+		return fmt.Errorf("admission: negative restored state (%d,%d,%d)", guaranteed, peak, conns)
 	}
 	a.guaranteed, a.peak, a.conns = guaranteed, peak, conns
+	return nil
 }
 
 // CanAdmitCBR reports whether a CBR connection demanding cycles/round

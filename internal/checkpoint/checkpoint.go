@@ -3,6 +3,14 @@
 // checksummed envelope, written atomically (temp file + rename) so a
 // crash mid-write can never leave a torn checkpoint behind.
 //
+// A payload is produced and consumed by one walk over the state: the
+// same code visits every field through a Codec, which appends the field
+// when encoding and overwrites it when decoding, so the writer and the
+// reader cannot drift apart. Decoding errors are sticky, every count is
+// bounded by the bytes that remain, and the envelope accepts exactly one
+// format Version: a layout change is a line in the walk plus a Version
+// bump, and older files are refused rather than half-understood.
+//
 // The envelope carries a configuration hash so a checkpoint taken
 // under one fabric geometry cannot be restored into an incompatible
 // one; the hash deliberately excludes execution-strategy knobs
@@ -19,197 +27,264 @@ import (
 	"path/filepath"
 )
 
-// Version is the current checkpoint format version. Bump it on any
-// incompatible payload layout change. Version 4 appended a trailer with
-// per-connection tenant owners, tenant admission quotas, and the
-// re-promotion bookkeeping (promotion generation, promoted-connection
-// counter). Version 3 switched per-connection jitter-tracker records from
-// global connection numbering to per-destination slot numbering (the sparse
-// tracker layout). Version 2 added best-effort flow owner IDs (and the
-// network's ID counter) to the network payload.
+// Version is the checkpoint format version, the only one this build
+// reads or writes. Bump it on any payload layout change.
 const Version uint32 = 4
-
-// MinVersion is the oldest format this build still decodes. Version 3
-// payloads are a strict prefix of version 4 (the v4 additions are a
-// trailer), so they restore with default tenant state; versions 1 and 2
-// predate the sparse tracker layout, which cannot be reconstructed, and
-// are refused.
-const MinVersion uint32 = 3
 
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}
 
-// Encoder appends primitive values to a growing byte buffer. All
-// integers are little-endian and fixed-width so the format is
-// platform-independent.
-type Encoder struct {
+// Codec walks a payload in one of two directions. Encoding, each
+// primitive appends the value its pointer names; decoding, it reads the
+// next value into it. All integers are little-endian and fixed-width so
+// the format is platform-independent.
+//
+// Errors are sticky: after the first failure (a short read, an
+// implausible count, a range check, or a Fail from the walk) every read
+// yields zero and Err reports the failure, so a walk needs only
+// occasional error checks — before any step that would act on a value.
+type Codec struct {
 	buf []byte
-}
-
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
-
-// Bytes returns the encoded payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the encoded payload size.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// U16 appends a uint16.
-func (e *Encoder) U16(v uint16) {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
-
-// U32 appends a uint32.
-func (e *Encoder) U32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-
-// U64 appends a uint64.
-func (e *Encoder) U64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-// I64 appends an int64.
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// Int appends an int as int64.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
-// F64 appends a float64 by bit pattern, preserving NaN payloads and
-// signed zeros so restores are bit-exact.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// Bytes8 appends a length-prefixed byte slice.
-func (e *Encoder) Bytes8(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// String appends a length-prefixed UTF-8 string.
-func (e *Encoder) String(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Decoder reads primitive values back out of a payload. Errors are
-// sticky: after the first short read every subsequent call returns the
-// zero value, and Err reports the failure, so decode paths need only
-// one error check at the end.
-type Decoder struct {
-	buf []byte
-	off int
+	off int // read offset (decoding)
+	dec bool
 	err error
 }
 
-// NewDecoder returns a decoder over payload.
-func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
+// NewEncoder returns a codec that appends to an empty payload.
+func NewEncoder() *Codec { return &Codec{} }
 
-// Err returns the first decoding error, or nil.
-func (d *Decoder) Err() error { return d.err }
+// NewDecoder returns a codec that reads payload.
+func NewDecoder(payload []byte) *Codec { return &Codec{buf: payload, dec: true} }
 
-// Remaining returns the unread byte count.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+// Decoding reports whether the codec reads (true) or writes (false).
+func (c *Codec) Decoding() bool { return c.dec }
 
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+// Bytes returns the encoded payload.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Err returns the first error, or nil.
+func (c *Codec) Err() error { return c.err }
+
+// Fail records err unless an earlier error is already recorded; a nil
+// err records nothing.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("checkpoint: truncated payload (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// Close ends a walk: it returns the first error, or, when decoding, an
+// error if bytes remain unread.
+func (c *Codec) Close() error {
+	if c.err == nil && c.dec && c.off != len(c.buf) {
+		c.err = fmt.Errorf("checkpoint: payload has %d trailing bytes", len(c.buf)-c.off)
 	}
-	return b[0]
+	return c.err
 }
 
-// U16 reads a uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+var zeros [8]byte
+
+// take returns the next n ≤ 8 payload bytes, or zeros once the codec
+// has failed or the payload is exhausted.
+func (c *Codec) take(n int) []byte {
+	if c.err == nil && n <= len(c.buf)-c.off {
+		b := c.buf[c.off : c.off+n]
+		c.off += n
+		return b
 	}
-	return binary.LittleEndian.Uint16(b)
+	if c.err == nil {
+		c.err = fmt.Errorf("checkpoint: truncated payload (want %d bytes at offset %d of %d)", n, c.off, len(c.buf))
+	}
+	return zeros[:n]
 }
 
-// U32 reads a uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+// word reads the next 8-byte little-endian word. It is kept out of line
+// so that the primitives calling it stay small enough to inline, which
+// keeps encoding a field as cheap as an append.
+//
+//go:noinline
+func (c *Codec) word() uint64 { return binary.LittleEndian.Uint64(c.take(8)) }
+
+// byte reads the next byte, out of line like word.
+//
+//go:noinline
+func (c *Codec) byte() uint8 { return c.take(1)[0] }
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) { Byte(c, v) }
+
+// U16 walks a uint16.
+func (c *Codec) U16(v *uint16) {
+	if c.dec {
+		*v = binary.LittleEndian.Uint16(c.take(2))
+		return
 	}
-	return binary.LittleEndian.Uint32(b)
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
 }
 
-// U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// I64 and Int — the bulk of a payload — are written out rather than
+// delegated to Word, which keeps them small enough to inline.
+
+// I64 walks an int64.
+func (c *Codec) I64(v *int64) {
+	if c.dec {
+		*v = int64(c.word())
+		return
 	}
-	return binary.LittleEndian.Uint64(b)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 }
 
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int encoded as int64.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// F64 reads a float64 by bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a bool.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// Bytes8 reads a length-prefixed byte slice.
-func (d *Decoder) Bytes8() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
+// Int walks an int as an int64.
+func (c *Codec) Int(v *int) {
+	if c.dec {
+		*v = int(c.word())
+		return
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := int(d.U32())
-	if d.err != nil {
-		return ""
+// F64 walks a float64 by bit pattern, preserving NaN payloads and signed
+// zeros so restores are bit-exact.
+func (c *Codec) F64(v *float64) {
+	if c.dec {
+		*v = math.Float64frombits(c.word())
+		return
 	}
-	b := d.take(n)
-	if b == nil {
-		return ""
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+}
+
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(v *bool) {
+	if c.dec {
+		*v = c.byte() != 0
+		return
 	}
-	return string(b)
+	b := uint8(0)
+	if *v {
+		b = 1
+	}
+	c.buf = append(c.buf, b)
+}
+
+// String walks a string prefixed by its uint32 byte length.
+func (c *Codec) String(s *string) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	n := int(binary.LittleEndian.Uint32(c.take(4)))
+	if c.err == nil && n > len(c.buf)-c.off {
+		c.Fail(fmt.Errorf("checkpoint: string of %d bytes at offset %d of %d", n, c.off, len(c.buf)))
+	}
+	if c.err != nil {
+		*s = ""
+		return
+	}
+	*s = string(c.buf[c.off : c.off+n])
+	c.off += n
+}
+
+// Count walks an element count (as an int64). Decoding, a count that is
+// negative or larger than the bytes that remain — every element takes
+// at least one — is an error and reads as zero, so a corrupted count can
+// drive neither a giant loop nor a giant allocation.
+func (c *Codec) Count(n *int, what string) {
+	c.Int(n)
+	if c.dec && c.err == nil && (*n < 0 || *n > len(c.buf)-c.off) {
+		c.Fail(fmt.Errorf("checkpoint: %s count %d is implausible (%d bytes remain)", what, *n, len(c.buf)-c.off))
+	}
+	if c.dec && c.err != nil {
+		*n = 0
+	}
+}
+
+// Slice walks len(s) as a count. Encoding returns s unchanged; decoding
+// returns a fresh slice of the recorded length (nil when empty, like an
+// append-built one) for the walk to fill element by element.
+func Slice[T any](c *Codec, s []T, what string) []T {
+	k := len(s)
+	c.Count(&k, what)
+	if !c.dec {
+		return s
+	}
+	if k == 0 {
+		return s[:0]
+	}
+	return make([]T, k)
+}
+
+// I64s walks a slice whose length the reader already knows, prefixed by
+// that length. Decoding fills v in place and fails if the recorded
+// length differs.
+func (c *Codec) I64s(v []int64, what string) {
+	if c.sliceLen(len(v), what) {
+		for i := range v {
+			c.I64(&v[i])
+		}
+	}
+}
+
+// F64s is I64s for float64 slices.
+func (c *Codec) F64s(v []float64, what string) {
+	if c.sliceLen(len(v), what) {
+		for i := range v {
+			c.F64(&v[i])
+		}
+	}
+}
+
+// sliceLen walks a known length and reports whether the payload agrees.
+func (c *Codec) sliceLen(want int, what string) bool {
+	n := want
+	c.Int(&n)
+	if n != want {
+		c.Fail(fmt.Errorf("checkpoint: %s holds %d values, want %d", what, n, want))
+	}
+	return n == want
+}
+
+// Bounded walks an int that decoding requires to lie in [0, n). After
+// any decoding error it reads as 0, so a walk may index or loop with it
+// without a further check.
+func (c *Codec) Bounded(v *int, n int, what string) {
+	c.Int(v)
+	c.Check(what, *v, 0, n)
+	if c.dec && c.err != nil {
+		*v = 0
+	}
+}
+
+// Check records a decoding error unless lo ≤ v < hi; it never fails an
+// encode.
+func (c *Codec) Check(what string, v, lo, hi int) {
+	if c.dec && (v < lo || v >= hi) {
+		c.outside(what, v, lo, hi)
+	}
+}
+
+func (c *Codec) outside(what string, v, lo, hi int) {
+	c.Fail(fmt.Errorf("checkpoint: %s %d outside [%d,%d)", what, v, lo, hi))
+}
+
+// Word walks a value of any integer type as one little-endian 8-byte
+// word (sign-extended when signed); decoding converts back to the
+// value's type. Named types and the narrow ints of packed structs use it.
+func Word[T ~int | ~int16 | ~int32 | ~int64 | ~uint64](c *Codec, v *T) {
+	if c.dec {
+		*v = T(c.word())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+}
+
+// Byte walks a value of any byte-sized type as one byte.
+func Byte[T ~uint8](c *Codec, v *T) {
+	if c.dec {
+		*v = T(c.byte())
+		return
+	}
+	c.buf = append(c.buf, uint8(*v))
 }
 
 // Envelope layout:
@@ -225,20 +300,9 @@ const headerLen = 32
 // Seal wraps payload in the checkpoint envelope at the current format
 // version.
 func Seal(configHash uint64, payload []byte) []byte {
-	return SealAt(Version, configHash, payload)
-}
-
-// SealAt wraps payload in the checkpoint envelope stamped with an
-// explicit format version — the compatibility tests use it to write
-// files a previous release would have written. The version must be in
-// the decodable range.
-func SealAt(version uint32, configHash uint64, payload []byte) []byte {
-	if version < MinVersion || version > Version {
-		panic(fmt.Sprintf("checkpoint: SealAt version %d outside [%d,%d]", version, MinVersion, Version))
-	}
 	out := make([]byte, 0, headerLen+len(payload))
 	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, configHash)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
@@ -246,33 +310,32 @@ func SealAt(version uint32, configHash uint64, payload []byte) []byte {
 	return out
 }
 
-// Open validates the envelope of data and returns the format version,
-// configuration hash and payload. It rejects bad magic, versions outside
-// [MinVersion, Version], truncated files and checksum mismatches.
-func Open(data []byte) (version uint32, configHash uint64, payload []byte, err error) {
+// Open validates the envelope of data and returns the configuration
+// hash and payload. It rejects bad magic, any version other than
+// Version, truncated files and checksum mismatches.
+func Open(data []byte) (configHash uint64, payload []byte, err error) {
 	if len(data) < headerLen {
-		return 0, 0, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(data))
+		return 0, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(data))
 	}
 	var m [8]byte
 	copy(m[:], data[:8])
 	if m != magic {
-		return 0, 0, nil, fmt.Errorf("checkpoint: bad magic %q", m[:])
+		return 0, nil, fmt.Errorf("checkpoint: bad magic %q", m[:])
 	}
-	ver := binary.LittleEndian.Uint32(data[8:12])
-	if ver < MinVersion || ver > Version {
-		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported format version %d (decodable range %d..%d)", ver, MinVersion, Version)
+	if ver := binary.LittleEndian.Uint32(data[8:12]); ver != Version {
+		return 0, nil, fmt.Errorf("checkpoint: unsupported format version %d (this build reads version %d only)", ver, Version)
 	}
 	configHash = binary.LittleEndian.Uint64(data[12:20])
 	plen := binary.LittleEndian.Uint64(data[20:28])
 	wantCRC := binary.LittleEndian.Uint32(data[28:32])
 	if uint64(len(data)-headerLen) != plen {
-		return 0, 0, nil, fmt.Errorf("checkpoint: payload length mismatch (header says %d, file has %d)", plen, len(data)-headerLen)
+		return 0, nil, fmt.Errorf("checkpoint: payload length mismatch (header says %d, file has %d)", plen, len(data)-headerLen)
 	}
 	payload = data[headerLen:]
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return 0, 0, nil, fmt.Errorf("checkpoint: CRC mismatch (got %08x, want %08x)", got, wantCRC)
+		return 0, nil, fmt.Errorf("checkpoint: CRC mismatch (got %08x, want %08x)", got, wantCRC)
 	}
-	return ver, configHash, payload, nil
+	return configHash, payload, nil
 }
 
 // WriteFile atomically writes a sealed checkpoint to path: the bytes
@@ -306,20 +369,18 @@ func WriteFile(path string, configHash uint64, payload []byte) error {
 }
 
 // ReadFile reads and validates a checkpoint from path, checking the
-// configuration hash against wantHash. It returns the payload and the
-// format version it was written at, so decoders can apply
-// older-version compatibility rules.
-func ReadFile(path string, wantHash uint64) ([]byte, uint32, error) {
+// configuration hash against wantHash, and returns the payload.
+func ReadFile(path string, wantHash uint64) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: read %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	ver, gotHash, payload, err := Open(data)
+	gotHash, payload, err := Open(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	if gotHash != wantHash {
-		return nil, 0, fmt.Errorf("checkpoint: %s was taken under a different fabric configuration (hash %016x, want %016x)", path, gotHash, wantHash)
+		return nil, fmt.Errorf("checkpoint: %s was taken under a different fabric configuration (hash %016x, want %016x)", path, gotHash, wantHash)
 	}
-	return payload, ver, nil
+	return payload, nil
 }

@@ -211,3 +211,43 @@ func BenchmarkNetworkRunIdleGaps(b *testing.B) {
 		n.Run(10_000)
 	}
 }
+
+// BenchmarkCheckpoint measures one checkpoint save (EncodeState) and one
+// restore (RestoreState into a freshly built fabric; the build is not
+// timed) of the fault-plan determinism scenario at cycle 1200.
+func BenchmarkCheckpoint(b *testing.B) {
+	n := buildDetNetwork(b, 1, true)
+	defer n.Shutdown()
+	n.Run(1200)
+	snap, err := n.EncodeState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(snap)))
+		for i := 0; i < b.N; i++ {
+			if _, err := n.EncodeState(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(snap)))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m, err := New(detConfig(b, 1, false))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := m.RestoreState(snap); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			m.Shutdown()
+			b.StartTimer()
+		}
+	})
+}

@@ -5,17 +5,13 @@ import (
 	"math"
 	"sort"
 
-	"mmr/internal/admission"
 	"mmr/internal/checkpoint"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
-	"mmr/internal/metrics"
 	"mmr/internal/routing"
-	"mmr/internal/sched"
 	"mmr/internal/sim"
 	"mmr/internal/stats"
 	"mmr/internal/traffic"
-	"mmr/internal/vcm"
 )
 
 // checkpoint.go serializes the complete mutable state of a Network and
@@ -46,991 +42,806 @@ import (
 // active establishment probe, or a pending event that is not in the
 // durable journal (anything scheduled via Network.Schedule directly).
 func (n *Network) EncodeState() ([]byte, error) {
-	payload, _, err := n.encodeStateParts()
-	return payload, err
-}
-
-// encodeStateParts encodes the payload and reports where the v4 trailer
-// begins — payload[:trailerStart] is byte-identical to what a version-3
-// writer produced, which the compatibility tests exploit to fabricate
-// genuine old-format checkpoints.
-func (n *Network) encodeStateParts() ([]byte, int, error) {
 	if n.activeProbes > 0 {
-		return nil, 0, fmt.Errorf("network: cannot checkpoint with %d establishment probes in flight", n.activeProbes)
+		return nil, fmt.Errorf("network: cannot checkpoint with %d establishment probes in flight", n.activeProbes)
 	}
 	if p := n.events.Pending(); p != len(n.durables) {
-		return nil, 0, fmt.Errorf("network: cannot checkpoint: %d pending events but only %d in the durable journal (events scheduled via Schedule hold closures a checkpoint cannot serialize)", p, len(n.durables))
+		return nil, fmt.Errorf("network: cannot checkpoint: %d pending events but only %d in the durable journal (events scheduled via Schedule hold closures a checkpoint cannot serialize)", p, len(n.durables))
 	}
 	for _, nd := range n.nodes {
 		if len(nd.dropCredits) != 0 {
-			return nil, 0, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has staged drop credits", nd.id)
+			return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has staged drop credits", nd.id)
 		}
 		for p := range nd.claim {
 			if nd.claim[p].vc != -1 {
-				return nil, 0, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has a staged VC claim on port %d", nd.id, p)
+				return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has a staged VC claim on port %d", nd.id, p)
 			}
 		}
 	}
 	if err := n.quiesce(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-
-	e := checkpoint.NewEncoder()
-	e.I64(n.now)
-	encodeRNG(e, n.rng.State())
-
-	tp := n.cfg.Topology
-	e.Int(len(tp.Links))
-	for _, l := range tp.Links {
-		e.Bool(tp.LinkUp(l.A, l.APort))
+	c := checkpoint.NewEncoder()
+	if err := n.walkState(c); err != nil {
+		return nil, err
 	}
-
-	m := &n.m
-	e.I64(m.cycles)
-	e.I64(m.setupAttempts)
-	e.I64(m.setupAccepted)
-	e.I64(m.setupRejected)
-	e.I64(m.setupRetries)
-	e.I64(m.closed)
-	encodeAcc(e, &m.setupLatency)
-	encodeAcc(e, &m.setupBacktracks)
-	e.I64(m.faultsInjected)
-	e.I64(m.faultsRepaired)
-	e.I64(m.faultFlitsLost)
-	e.I64(m.connsBroken)
-	e.I64(m.connsRestored)
-	e.I64(m.connsDegraded)
-	e.I64(m.connsLost)
-	encodeAcc(e, &m.restoreLatency)
-
-	e.Int(len(n.sessionLog))
-	for _, ev := range n.sessionLog {
-		e.I64(ev.Cycle)
-		e.String(ev.Kind)
-		e.I64(int64(ev.Conn))
-		e.Int(ev.Node)
-		e.Int(ev.Port)
-		e.String(ev.Detail)
-	}
-
-	impairKeys := make([][2]int, 0, len(n.impair))
-	for k := range n.impair {
-		impairKeys = append(impairKeys, k)
-	}
-	sort.Slice(impairKeys, func(i, j int) bool {
-		if impairKeys[i][0] != impairKeys[j][0] {
-			return impairKeys[i][0] < impairKeys[j][0]
-		}
-		return impairKeys[i][1] < impairKeys[j][1]
-	})
-	e.Int(len(impairKeys))
-	for _, k := range impairKeys {
-		im := n.impair[k]
-		e.Int(im.Node)
-		e.Int(im.Port)
-		e.F64(im.DropProb)
-		e.F64(im.CorruptProb)
-	}
-
-	e.Int(len(n.faultSchedule))
-	for _, ev := range n.faultSchedule {
-		e.I64(ev.Cycle)
-		e.Int(int(ev.Kind))
-		e.Int(ev.Node)
-		e.Int(ev.Port)
-	}
-
-	e.Int(len(n.conns))
-	for _, c := range n.conns {
-		e.Int(c.Src)
-		e.Int(c.Dst)
-		encodeSpec(e, c.Spec)
-		e.Int(len(c.Path))
-		for _, h := range c.Path {
-			e.Int(h.Node)
-			e.Int(h.Port)
-		}
-		e.Int(len(c.VCs))
-		for _, r := range c.VCs {
-			e.Int(r.Port)
-			e.Int(r.VC)
-		}
-		e.Int(len(c.Nodes))
-		for _, nodeID := range c.Nodes {
-			e.Int(nodeID)
-		}
-		e.I64(c.SetupTime)
-		e.Int(c.Backtracks)
-		e.Int(c.Restores)
-		e.Bool(c.Degraded)
-		e.Bool(c.open)
-		e.Bool(c.closed)
-		e.Bool(c.broken)
-		e.Bool(c.lost)
-		e.I64(c.brokenAt)
-		e.I64(c.lastTick)
-		e.I64(c.nextDue)
-		e.I64(c.nextSeq)
-		e.Bool(c.src != nil)
-		if c.src != nil {
-			if err := encodeConnSource(e, c); err != nil {
-				return nil, 0, err
-			}
-		}
-		e.Int(c.niQueue.Len())
-		for i := 0; i < c.niQueue.Len(); i++ {
-			if err := encodeFlit(e, c.niQueue.At(i)); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-
-	e.I64(int64(n.nextFlowID))
-	e.Int(len(n.beFlows))
-	for _, bf := range n.beFlows {
-		e.I64(int64(bf.id))
-		e.Int(bf.src)
-		e.Int(bf.dst)
-		e.I64(int64(bf.conn))
-		switch g := bf.gen.(type) {
-		case *traffic.BestEffortSource:
-			st := g.ExportState()
-			e.U8(0)
-			e.F64(st.Rate)
-			e.F64(st.Next)
-		case *traffic.CBRSource:
-			st := g.ExportState()
-			e.U8(1)
-			e.F64(st.PerCycle)
-			e.F64(st.Acc)
-		default:
-			return nil, 0, fmt.Errorf("network: best-effort flow has unserializable generator %T", bf.gen)
-		}
-		e.I64(bf.lastTick)
-		e.I64(bf.nextDue)
-		e.Int(bf.niQueue.Len())
-		for i := 0; i < bf.niQueue.Len(); i++ {
-			if err := encodeFlit(e, bf.niQueue.At(i)); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-
-	radix := n.cfg.radix()
-	for _, nd := range n.nodes {
-		encodeRNG(e, nd.rng.State())
-		e.I64(nd.pktSeq)
-		e.I64(nd.lastRound)
-
-		d := &nd.stats
-		e.I64(d.generated)
-		e.I64(d.delivered)
-		e.I64(d.linkFlits)
-		e.I64(d.beGenerated)
-		e.I64(d.beDelivered)
-		encodeAcc(e, &d.beLatency)
-		e.I64(d.flitsDropped)
-		e.I64(d.flitsCorrupted)
-
-		tr := d.tracker
-		e.Int(tr.NumConns())
-		encodeAcc(e, tr.Delay())
-		encodeAcc(e, tr.Jitter())
-		for i := 0; i < tr.NumConns(); i++ {
-			encodeAcc(e, tr.ConnDelay(i))
-			encodeAcc(e, tr.ConnJitter(i))
-			prev, seen := tr.ConnBaseline(i)
-			e.F64(prev)
-			e.Bool(seen)
-		}
-
-		for p := 0; p < radix; p++ {
-			mem := nd.mems[p]
-
-			inUse := 0
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				if mem.State(vc).InUse {
-					inUse++
-				}
-			}
-			e.Int(inUse)
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				st := mem.State(vc)
-				if !st.InUse {
-					continue
-				}
-				e.Int(vc)
-				e.I64(int64(st.Conn))
-				e.U8(uint8(st.Class))
-				e.Int(st.Allocated)
-				e.Int(st.Peak)
-				e.Int(mem.Serviced(vc))
-				e.Int(st.BasePriority)
-				e.F64(st.Bias)
-				e.F64(st.InterArrival)
-				e.Int(st.Output)
-			}
-
-			buffered := 0
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				if mem.Len(vc) > 0 {
-					buffered++
-				}
-			}
-			e.Int(buffered)
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				ln := mem.Len(vc)
-				if ln == 0 {
-					continue
-				}
-				e.Int(vc)
-				e.Int(ln)
-				for i := 0; i < ln; i++ {
-					if err := encodeFlit(e, mem.FlitAt(vc, i)); err != nil {
-						return nil, 0, err
-					}
-				}
-			}
-
-			spent := 0
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				if nd.shadow[p].Available(vc) != n.cfg.Depth {
-					spent++
-				}
-			}
-			e.Int(spent)
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				if avail := nd.shadow[p].Available(vc); avail != n.cfg.Depth {
-					e.Int(vc)
-					e.Int(avail)
-				}
-			}
-
-			ups := 0
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				if nd.upstream[p][vc] != noUpstream {
-					ups++
-				}
-			}
-			e.Int(ups)
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				up := nd.upstream[p][vc]
-				if up == noUpstream {
-					continue
-				}
-				e.Int(vc)
-				e.Int(int(up.node))
-				e.Int(int(up.port))
-				e.Int(int(up.vc))
-			}
-
-			a := nd.alloc[p]
-			e.Int(a.Guaranteed())
-			e.Int(a.PeakTotal())
-			e.Int(a.Connections())
-
-			excess, lc := nd.links[p].ExportState()
-			e.Int(excess)
-			e.I64(lc.Nominated)
-			e.I64(lc.CreditStalled)
-			e.I64(lc.RoundExhausted)
-			e.I64(lc.BiasBoosted)
-
-			pend := nd.pipes[p].pending()
-			e.Int(len(pend))
-			for _, lf := range pend {
-				e.I64(lf.arriveAt)
-				e.Int(lf.vc)
-				if err := encodeFlit(e, lf.f); err != nil {
-					return nil, 0, err
-				}
-			}
-
-			cpend := nd.credOut[p].pending()
-			e.Int(len(cpend))
-			for _, cm := range cpend {
-				e.I64(cm.arriveAt)
-				e.Int(int(cm.to.node))
-				e.Int(int(cm.to.port))
-				e.Int(int(cm.to.vc))
-			}
-		}
-
-		e.Int(nd.cmap.Mapped())
-		nd.cmap.ForEach(func(in, out routing.VCRef) {
-			e.Int(in.Port)
-			e.Int(in.VC)
-			e.Int(out.Port)
-			e.Int(out.VC)
-		})
-
-		counters, gauges, histBuf, histCount, histSum := nd.ms.ExportState()
-		e.Int(len(counters))
-		for _, v := range counters {
-			e.I64(v)
-		}
-		e.Int(len(gauges))
-		for _, v := range gauges {
-			e.F64(v)
-		}
-		e.Int(len(histBuf))
-		for _, v := range histBuf {
-			e.I64(v)
-		}
-		e.Int(len(histCount))
-		for _, v := range histCount {
-			e.I64(v)
-		}
-		e.Int(len(histSum))
-		for _, v := range histSum {
-			e.F64(v)
-		}
-
-		evs := nd.rec.Events(nil)
-		e.Int(len(evs))
-		for _, ev := range evs {
-			e.I64(ev.Cycle)
-			e.U16(ev.Code)
-			e.Int(int(ev.Node))
-			e.I64(int64(ev.A))
-			e.I64(int64(ev.B))
-			e.I64(ev.Aux)
-		}
-		e.I64(nd.rec.Total())
-	}
-
-	e.U64(n.events.Fired())
-
-	seqs := make([]uint64, 0, len(n.durables))
-	for s := range n.durables {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	e.Int(len(seqs))
-	for _, s := range seqs {
-		ev := n.durables[s]
-		e.I64(ev.at)
-		e.U8(uint8(ev.kind))
-		e.I64(ev.a)
-		e.I64(ev.b)
-	}
-
-	ids := make([]int64, 0, len(n.openRetries))
-	for id := range n.openRetries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Int(len(ids))
-	for _, id := range ids {
-		or := n.openRetries[id]
-		e.I64(id)
-		e.Int(or.src)
-		e.Int(or.dst)
-		encodeSpec(e, or.spec)
-		e.Int(or.attempt)
-	}
-	e.I64(n.nextOpenID)
-
-	// --- version 4 trailer: tenant admission state and re-promotion
-	// bookkeeping. Strictly appended so payload[:trailerStart] remains a
-	// valid version-3 payload. Tenant *usage* and the degradedLive
-	// counter are deliberately not serialized: both are recomputed from
-	// the restored connections, so they can never disagree with them.
-	trailerStart := e.Len()
-	for _, c := range n.conns {
-		e.String(c.Tenant)
-	}
-	for _, id := range ids {
-		e.String(n.openRetries[id].tenant)
-	}
-	qnames := make([]string, 0)
-	for _, name := range n.tenants.Names() {
-		if _, ok := n.tenants.Quota(name); ok {
-			qnames = append(qnames, name)
-		}
-	}
-	e.Int(len(qnames))
-	for _, name := range qnames {
-		q, _ := n.tenants.Quota(name)
-		e.String(name)
-		e.Int(q.MaxSessions)
-		e.Int(q.MaxGuaranteed)
-	}
-	e.I64(m.connsPromoted)
-	e.I64(n.promoteGen)
-
-	return e.Bytes(), trailerStart, nil
+	return c.Bytes(), nil
 }
 
 // RestoreState deserializes a payload produced by EncodeState into n,
 // which must be freshly built by New with an equivalent configuration
 // (same geometry, seed and policies; worker count and gating are free).
 // Do not call ApplyPlan or schedule anything before restoring — the
-// checkpoint carries the fault schedule and every pending event. After
-// a successful restore the global resource invariants are audited.
-// The payload is assumed to be current-format; RestoreStateVersion
-// decodes older formats.
+// checkpoint carries the fault schedule and every pending event. Every
+// decoded node, port, VC, count and time is range-checked, so a corrupt
+// payload yields an error, never a panic; after a successful restore the
+// global resource invariants are audited.
 func (n *Network) RestoreState(payload []byte) error {
-	return n.RestoreStateVersion(payload, checkpoint.Version)
-}
-
-// RestoreStateVersion is RestoreState for a payload written at an
-// explicit format version (as reported by the envelope). Version 3
-// payloads predate tenant quotas and re-promotion: they restore with
-// every session on the default tenant, no quotas, and a zero promotion
-// generation, and their degraded connections — which the old lifecycle
-// left with the broken flag still set — are normalized to the
-// Degraded-implies-not-broken invariant the promotion subsystem
-// depends on.
-func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
-	if ver < checkpoint.MinVersion || ver > checkpoint.Version {
-		return fmt.Errorf("network: cannot restore format version %d (decodable range %d..%d)", ver, checkpoint.MinVersion, checkpoint.Version)
-	}
 	if n.now != 0 || len(n.conns) != 0 || len(n.beFlows) != 0 ||
 		n.events.Pending() != 0 || len(n.sessionLog) != 0 || len(n.faultSchedule) != 0 {
 		return fmt.Errorf("network: restore target must be a freshly built network")
 	}
-	d := checkpoint.NewDecoder(payload)
-	n.now = d.I64()
-	masterRNG := decodeRNG(d)
+	return n.walkState(checkpoint.NewDecoder(payload))
+}
+
+// walkState is the checkpoint layout: one pass over the network's
+// mutable state that EncodeState runs with an encoding codec and
+// RestoreState with a decoding one. Steps only one direction needs sit
+// in local Decoding branches of the section that owns them: encoding
+// sorts map keys and counts sparse VC lists; decoding builds sources and
+// flits, range-checks what it read, and rebuilds derived state.
+func (n *Network) walkState(c *checkpoint.Codec) error {
+	dec := c.Decoding()
+	nodes, radix, vcs := len(n.nodes), n.cfg.radix(), n.cfg.VCs
+
+	c.I64(&n.now)
+	c.Check("clock", int(n.now), 0, math.MaxInt)
+	walkRNG(c, n.rng)
 
 	tp := n.cfg.Topology
-	if got := d.Int(); d.Err() == nil && got != len(tp.Links) {
-		return fmt.Errorf("network: checkpoint has %d links, topology has %d", got, len(tp.Links))
-	}
+	nl := len(tp.Links)
+	c.Int(&nl)
+	c.Check("link count", nl, len(tp.Links), len(tp.Links)+1)
 	for _, l := range tp.Links {
-		up := d.Bool()
-		if d.Err() == nil && tp.LinkUp(l.A, l.APort) != up {
+		up := tp.LinkUp(l.A, l.APort)
+		c.Bool(&up)
+		if dec && c.Err() == nil && tp.LinkUp(l.A, l.APort) != up {
 			tp.SetLinkUp(l.A, l.APort, up)
 		}
 	}
-	if err := d.Err(); err != nil {
-		return err
+	if dec {
+		if err := c.Err(); err != nil {
+			return err
+		}
+		n.dists.Recompute(tp)
+		n.ud.Rebuild()
 	}
-	n.dists.Recompute(tp)
-	n.ud.Rebuild()
 
 	m := &n.m
-	m.cycles = d.I64()
-	m.setupAttempts = d.I64()
-	m.setupAccepted = d.I64()
-	m.setupRejected = d.I64()
-	m.setupRetries = d.I64()
-	m.closed = d.I64()
-	decodeAcc(d, &m.setupLatency)
-	decodeAcc(d, &m.setupBacktracks)
-	m.faultsInjected = d.I64()
-	m.faultsRepaired = d.I64()
-	m.faultFlitsLost = d.I64()
-	m.connsBroken = d.I64()
-	m.connsRestored = d.I64()
-	m.connsDegraded = d.I64()
-	m.connsLost = d.I64()
-	decodeAcc(d, &m.restoreLatency)
+	c.I64(&m.cycles)
+	c.I64(&m.setupAttempts)
+	c.I64(&m.setupAccepted)
+	c.I64(&m.setupRejected)
+	c.I64(&m.setupRetries)
+	c.I64(&m.closed)
+	walkAcc(c, &m.setupLatency)
+	walkAcc(c, &m.setupBacktracks)
+	c.I64(&m.faultsInjected)
+	c.I64(&m.faultsRepaired)
+	c.I64(&m.faultFlitsLost)
+	c.I64(&m.connsBroken)
+	c.I64(&m.connsRestored)
+	c.I64(&m.connsDegraded)
+	c.I64(&m.connsLost)
+	walkAcc(c, &m.restoreLatency)
 
-	nLog := d.Int()
-	if err := checkCount(d, nLog, "session log"); err != nil {
-		return err
-	}
-	for i := 0; i < nLog; i++ {
-		var ev SessionEvent
-		ev.Cycle = d.I64()
-		ev.Kind = d.String()
-		ev.Conn = flit.ConnID(d.I64())
-		ev.Node = d.Int()
-		ev.Port = d.Int()
-		ev.Detail = d.String()
-		n.sessionLog = append(n.sessionLog, ev)
+	n.sessionLog = checkpoint.Slice(c, n.sessionLog, "session log")
+	for i := range n.sessionLog {
+		ev := &n.sessionLog[i]
+		c.I64(&ev.Cycle)
+		c.String(&ev.Kind)
+		checkpoint.Word(c, &ev.Conn)
+		c.Int(&ev.Node)
+		c.Int(&ev.Port)
+		c.String(&ev.Detail)
 	}
 
-	nImp := d.Int()
-	if err := checkCount(d, nImp, "impairments"); err != nil {
-		return err
+	// Impairments live in a map; encoding writes them in (node, port)
+	// order so equal fabrics checkpoint to equal bytes.
+	var imps []faults.Impairment
+	if !dec {
+		imps = make([]faults.Impairment, 0, len(n.impair))
+		for _, im := range n.impair {
+			imps = append(imps, im)
+		}
+		sort.Slice(imps, func(i, j int) bool {
+			if imps[i].Node != imps[j].Node {
+				return imps[i].Node < imps[j].Node
+			}
+			return imps[i].Port < imps[j].Port
+		})
 	}
-	for i := 0; i < nImp; i++ {
-		var im faults.Impairment
-		im.Node = d.Int()
-		im.Port = d.Int()
-		im.DropProb = d.F64()
-		im.CorruptProb = d.F64()
-		if d.Err() == nil {
-			n.impair[[2]int{im.Node, im.Port}] = im
+	imps = checkpoint.Slice(c, imps, "impairments")
+	for i := range imps {
+		im := &imps[i]
+		c.Bounded(&im.Node, nodes, "impaired node")
+		c.Bounded(&im.Port, tp.Ports, "impaired port")
+		c.F64(&im.DropProb)
+		c.F64(&im.CorruptProb)
+		if dec {
+			n.impair[[2]int{im.Node, im.Port}] = *im
 		}
 	}
 
-	nFS := d.Int()
-	if err := checkCount(d, nFS, "fault schedule"); err != nil {
-		return err
-	}
-	for i := 0; i < nFS; i++ {
-		var ev faults.Event
-		ev.Cycle = d.I64()
-		ev.Kind = faults.Kind(d.Int())
-		ev.Node = d.Int()
-		ev.Port = d.Int()
-		n.faultSchedule = append(n.faultSchedule, ev)
+	n.faultSchedule = checkpoint.Slice(c, n.faultSchedule, "fault schedule")
+	for i := range n.faultSchedule {
+		ev := &n.faultSchedule[i]
+		c.I64(&ev.Cycle)
+		checkpoint.Word(c, &ev.Kind)
+		c.Bounded(&ev.Node, nodes, "fault node")
+		c.Bounded(&ev.Port, tp.Ports, "fault port")
 	}
 
-	nc := d.Int()
-	if err := checkCount(d, nc, "connections"); err != nil {
-		return err
-	}
+	nc := len(n.conns)
+	c.Count(&nc, "connections")
 	for i := 0; i < nc; i++ {
-		c := &Conn{ID: flit.ConnID(i), dstSlot: -1}
-		c.Src = d.Int()
-		c.Dst = d.Int()
-		c.Spec = decodeSpec(d)
-		if err := d.Err(); err != nil {
+		var cn *Conn
+		if dec {
+			// Appended before its walk so flits queued for it see it.
+			cn = &Conn{ID: flit.ConnID(i), dstSlot: -1}
+			n.conns = append(n.conns, cn)
+		} else {
+			cn = n.conns[i]
+		}
+		n.walkConn(c, cn)
+		if !dec {
+			continue
+		}
+		if err := c.Err(); err != nil {
 			return err
 		}
-		if c.Src < 0 || c.Src >= len(n.nodes) || c.Dst < 0 || c.Dst >= len(n.nodes) {
-			return fmt.Errorf("network: checkpoint connection %d has endpoints (%d,%d) outside the topology", i, c.Src, c.Dst)
-		}
-		np := d.Int()
-		if err := checkCount(d, np, "path hops"); err != nil {
-			return err
-		}
-		for j := 0; j < np; j++ {
-			c.Path = append(c.Path, routing.PathHop{Node: d.Int(), Port: d.Int()})
-		}
-		nv := d.Int()
-		if err := checkCount(d, nv, "path VCs"); err != nil {
-			return err
-		}
-		for j := 0; j < nv; j++ {
-			c.VCs = append(c.VCs, routing.VCRef{Port: d.Int(), VC: d.Int()})
-		}
-		nn := d.Int()
-		if err := checkCount(d, nn, "path nodes"); err != nil {
-			return err
-		}
-		for j := 0; j < nn; j++ {
-			c.Nodes = append(c.Nodes, d.Int())
-		}
-		c.SetupTime = d.I64()
-		c.Backtracks = d.Int()
-		c.Restores = d.Int()
-		c.Degraded = d.Bool()
-		c.open = d.Bool()
-		c.closed = d.Bool()
-		c.broken = d.Bool()
-		c.lost = d.Bool()
-		c.brokenAt = d.I64()
-		c.lastTick = d.I64()
-		c.nextDue = d.I64()
-		c.nextSeq = d.I64()
-		if d.Bool() {
-			// Reconstruct the source against the owning node's RNG, then
-			// overwrite its mutable state; no constructor here draws
-			// randomness, so the streams stay aligned until the per-node
-			// RNG states are restored below.
-			if c.Spec.Class == flit.ClassVBR {
-				s := traffic.NewVBRSource(n.nodes[c.Src].rng, n.cfg.Link, c.Spec.Rate, c.Spec.PeakRate, traffic.DefaultGoP())
-				s.RestoreState(decodeVBRState(d))
-				c.src = s
-			} else {
-				s := traffic.NewCBRSource(n.cfg.Link, c.Spec.Rate, 0)
-				s.RestoreState(decodeCBRState(d))
-				c.src = s
-			}
-		}
-		nq := d.Int()
-		if err := checkCount(d, nq, "interface queue"); err != nil {
-			return err
-		}
-		for j := 0; j < nq; j++ {
-			f := decodeFlit(d, n.nodes[c.Src])
-			if f != nil {
-				c.niQueue.Push(f)
-			}
-		}
-		n.conns = append(n.conns, c)
 		// Terminal connections (closed, degraded, lost) are pruned from
 		// the per-node injector lists on the live fabric; mirror that here
 		// so the restored scan lists — and therefore per-cycle cost —
 		// match the fabric that wrote the checkpoint.
-		if !c.terminal() {
-			n.nodes[c.Src].srcConns = append(n.nodes[c.Src].srcConns, c)
+		if !cn.terminal() {
+			n.nodes[cn.Src].srcConns = append(n.nodes[cn.Src].srcConns, cn)
 		}
 		// Trackers grow only at the ejecting node. Replaying connections
 		// in ID order reproduces the per-destination slot assignment the
 		// live admission path made when each connection was accepted.
-		n.assignTrackerSlot(c)
+		n.assignTrackerSlot(cn)
 	}
 
-	n.nextFlowID = FlowID(d.I64())
-	nbf := d.Int()
-	if err := checkCount(d, nbf, "best-effort flows"); err != nil {
-		return err
-	}
+	checkpoint.Word(c, &n.nextFlowID)
+	nbf := len(n.beFlows)
+	c.Count(&nbf, "best-effort flows")
 	for i := 0; i < nbf; i++ {
-		bf := &beFlow{}
-		bf.id = FlowID(d.I64())
-		bf.src = d.Int()
-		bf.dst = d.Int()
-		bf.conn = flit.ConnID(d.I64())
-		tag := d.U8()
-		if err := d.Err(); err != nil {
-			return err
+		var bf *beFlow
+		if dec {
+			bf = &beFlow{}
+		} else {
+			bf = n.beFlows[i]
 		}
-		if bf.src < 0 || bf.src >= len(n.nodes) || bf.dst < 0 || bf.dst >= len(n.nodes) {
-			return fmt.Errorf("network: checkpoint flow %d has endpoints (%d,%d) outside the topology", i, bf.src, bf.dst)
-		}
-		if bf.conn != flit.InvalidConn && (bf.conn < 0 || int(bf.conn) >= len(n.conns)) {
-			return fmt.Errorf("network: checkpoint flow %d claims unknown owner connection %d", i, bf.conn)
-		}
-		switch tag {
-		case 0:
-			// The constructor draws one inter-arrival from the node RNG;
-			// the draw is undone when node RNG states are restored below,
-			// and the state overwrite reinstates the true next arrival.
-			s := traffic.NewBestEffortSource(n.nodes[bf.src].rng, 1)
-			s.RestoreState(traffic.BestEffortState{Rate: d.F64(), Next: d.F64()})
-			bf.gen = s
-		case 1:
-			s := traffic.NewCBRSource(n.cfg.Link, 0, 0)
-			s.RestoreState(traffic.CBRState{PerCycle: d.F64(), Acc: d.F64()})
-			bf.gen = s
-		default:
-			return fmt.Errorf("network: checkpoint flow %d has unknown generator tag %d", i, tag)
-		}
-		bf.lastTick = d.I64()
-		bf.nextDue = d.I64()
-		nq := d.Int()
-		if err := checkCount(d, nq, "flow interface queue"); err != nil {
-			return err
-		}
-		for j := 0; j < nq; j++ {
-			f := decodeFlit(d, n.nodes[bf.src])
-			if f != nil {
-				bf.niQueue.Push(f)
+		n.walkFlow(c, bf)
+		if dec {
+			if err := c.Err(); err != nil {
+				return err
 			}
+			n.beFlows = append(n.beFlows, bf)
+			n.nodes[bf.src].beSrc = append(n.nodes[bf.src].beSrc, bf)
 		}
-		n.beFlows = append(n.beFlows, bf)
-		n.nodes[bf.src].beSrc = append(n.nodes[bf.src].beSrc, bf)
 	}
 
-	radix := n.cfg.radix()
+	mapped := make([][2]routing.VCRef, 0, radix*vcs) // channel maps to encode, reused per node
 	for _, nd := range n.nodes {
-		nd.rng.Restore(decodeRNG(d))
-		nd.pktSeq = d.I64()
-		nd.lastRound = d.I64()
+		walkRNG(c, nd.rng)
+		c.I64(&nd.pktSeq)
+		c.I64(&nd.lastRound)
 
 		ds := &nd.stats
-		ds.generated = d.I64()
-		ds.delivered = d.I64()
-		ds.linkFlits = d.I64()
-		ds.beGenerated = d.I64()
-		ds.beDelivered = d.I64()
-		decodeAcc(d, &ds.beLatency)
-		ds.flitsDropped = d.I64()
-		ds.flitsCorrupted = d.I64()
+		c.I64(&ds.generated)
+		c.I64(&ds.delivered)
+		c.I64(&ds.linkFlits)
+		c.I64(&ds.beGenerated)
+		c.I64(&ds.beDelivered)
+		walkAcc(c, &ds.beLatency)
+		c.I64(&ds.flitsDropped)
+		c.I64(&ds.flitsCorrupted)
 
+		// The tracker was sized by the connection walk above.
 		tr := ds.tracker
-		tn := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if tn != tr.NumConns() {
-			return fmt.Errorf("network: checkpoint tracker on node %d covers %d connections, want %d", nd.id, tn, tr.NumConns())
-		}
-		decodeAcc(d, tr.Delay())
-		decodeAcc(d, tr.Jitter())
-		for i := 0; i < tn; i++ {
-			decodeAcc(d, tr.ConnDelay(i))
-			decodeAcc(d, tr.ConnJitter(i))
-			prev := d.F64()
-			seen := d.Bool()
-			tr.RestoreBaseline(i, prev, seen)
+		tn := tr.NumConns()
+		c.Int(&tn)
+		c.Check("tracked connection count", tn, tr.NumConns(), tr.NumConns()+1)
+		walkAcc(c, tr.Delay())
+		walkAcc(c, tr.Jitter())
+		for i := 0; i < tr.NumConns(); i++ {
+			walkAcc(c, tr.ConnDelay(i))
+			walkAcc(c, tr.ConnJitter(i))
+			prev, seen := tr.ConnBaseline(i)
+			c.F64(&prev)
+			c.Bool(&seen)
+			if dec {
+				tr.RestoreBaseline(i, prev, seen)
+			}
 		}
 
 		for p := 0; p < radix; p++ {
-			mem := nd.mems[p]
+			n.walkPort(c, nd, p)
+		}
 
-			inUse := d.Int()
-			if err := checkCount(d, inUse, "reserved VCs"); err != nil {
-				return err
+		if !dec {
+			mapped = mapped[:0]
+			nd.cmap.ForEach(func(in, out routing.VCRef) {
+				mapped = append(mapped, [2]routing.VCRef{in, out})
+			})
+		}
+		k := len(mapped)
+		c.Count(&k, "channel mappings")
+		for i := 0; i < k; i++ {
+			var ref [2]routing.VCRef // input, output
+			if !dec {
+				ref = mapped[i]
 			}
-			for i := 0; i < inUse; i++ {
-				vc := d.Int()
-				if err := checkVC(d, n, vc); err != nil {
-					return err
-				}
-				st := vcm.VCState{}
-				st.Conn = flit.ConnID(d.I64())
-				st.Class = flit.Class(d.U8())
-				st.Allocated = d.Int()
-				st.Peak = d.Int()
-				serviced := d.Int()
-				st.BasePriority = d.Int()
-				st.Bias = d.F64()
-				st.InterArrival = d.F64()
-				st.Output = d.Int()
-				st.InUse = true
-				mem.RestoreState(vc, st)
-				mem.SetServiced(vc, serviced)
+			for j := range ref {
+				c.Bounded(&ref[j].Port, radix, "mapped port")
+				c.Bounded(&ref[j].VC, vcs, "mapped VC")
 			}
-
-			buffered := d.Int()
-			if err := checkCount(d, buffered, "buffered VCs"); err != nil {
-				return err
-			}
-			for i := 0; i < buffered; i++ {
-				vc := d.Int()
-				ln := d.Int()
-				if err := checkVC(d, n, vc); err != nil {
-					return err
-				}
-				if ln < 0 || ln > n.cfg.Depth {
-					return fmt.Errorf("network: checkpoint buffers %d flits in a VC of depth %d", ln, n.cfg.Depth)
-				}
-				for j := 0; j < ln; j++ {
-					f := decodeFlit(d, nd)
-					if f != nil && !mem.Push(vc, f) {
-						return fmt.Errorf("network: checkpoint overflows VC %d on node %d port %d", vc, nd.id, p)
-					}
-				}
-			}
-
-			spent := d.Int()
-			if err := checkCount(d, spent, "shadow credits"); err != nil {
-				return err
-			}
-			for i := 0; i < spent; i++ {
-				vc := d.Int()
-				avail := d.Int()
-				if err := checkVC(d, n, vc); err != nil {
-					return err
-				}
-				if avail < 0 || avail > n.cfg.Depth {
-					return fmt.Errorf("network: checkpoint credit count %d outside [0,%d]", avail, n.cfg.Depth)
-				}
-				nd.shadow[p].SetAvailable(vc, avail)
-			}
-
-			ups := d.Int()
-			if err := checkCount(d, ups, "upstream refs"); err != nil {
-				return err
-			}
-			for i := 0; i < ups; i++ {
-				vc := d.Int()
-				if err := checkVC(d, n, vc); err != nil {
-					return err
-				}
-				nd.upstream[p][vc] = upRef{node: int32(d.Int()), port: int16(d.Int()), vc: int16(d.Int())}
-			}
-
-			g := d.Int()
-			pk := d.Int()
-			cns := d.Int()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			nd.alloc[p].RestoreState(g, pk, cns)
-
-			excess := d.Int()
-			lc := sched.LinkCounters{
-				Nominated:      d.I64(),
-				CreditStalled:  d.I64(),
-				RoundExhausted: d.I64(),
-				BiasBoosted:    d.I64(),
-			}
-			nd.links[p].RestoreState(excess, lc)
-
-			nPend := d.Int()
-			if err := checkCount(d, nPend, "pipe entries"); err != nil {
-				return err
-			}
-			for i := 0; i < nPend; i++ {
-				at := d.I64()
-				vc := d.Int()
-				f := decodeFlit(d, nd)
-				if f != nil {
-					nd.pipes[p].push(linkFlit{arriveAt: at, vc: vc, f: f})
-				}
-			}
-
-			nCred := d.Int()
-			if err := checkCount(d, nCred, "credit entries"); err != nil {
-				return err
-			}
-			for i := 0; i < nCred; i++ {
-				at := d.I64()
-				to := upRef{node: int32(d.Int()), port: int16(d.Int()), vc: int16(d.Int())}
-				if d.Err() == nil {
-					nd.credOut[p].push(creditMsg{arriveAt: at, to: to})
+			if dec {
+				if err := nd.cmap.Map(ref[0], ref[1]); err != nil {
+					c.Fail(fmt.Errorf("network: checkpoint channel map on node %d: %w", nd.id, err))
 				}
 			}
 		}
 
-		nMap := d.Int()
-		if err := checkCount(d, nMap, "channel mappings"); err != nil {
-			return err
-		}
-		for i := 0; i < nMap; i++ {
-			in := routing.VCRef{Port: d.Int(), VC: d.Int()}
-			out := routing.VCRef{Port: d.Int(), VC: d.Int()}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if err := nd.cmap.Map(in, out); err != nil {
-				return fmt.Errorf("network: checkpoint channel map on node %d: %w", nd.id, err)
-			}
-		}
+		// The metric shard's storage is walked in place.
+		counters, gauges, histBuf, histCount, histSum := nd.ms.ExportState()
+		c.I64s(counters, "metric counters")
+		c.F64s(gauges, "metric gauges")
+		c.I64s(histBuf, "histogram buckets")
+		c.I64s(histCount, "histogram counts")
+		c.F64s(histSum, "histogram sums")
 
-		counters := decodeI64s(d)
-		gauges := decodeF64s(d)
-		histBuf := decodeI64s(d)
-		histCount := decodeI64s(d)
-		histSum := decodeF64s(d)
-		if err := d.Err(); err != nil {
-			return err
+		evs := checkpoint.Slice(c, nd.rec.Events(nil), "flight events")
+		for i := range evs {
+			ev := &evs[i]
+			c.I64(&ev.Cycle)
+			c.U16(&ev.Code)
+			checkpoint.Word(c, &ev.Node)
+			checkpoint.Word(c, &ev.A)
+			checkpoint.Word(c, &ev.B)
+			c.I64(&ev.Aux)
 		}
-		if err := nd.ms.RestoreState(counters, gauges, histBuf, histCount, histSum); err != nil {
-			return err
-		}
-
-		nEv := d.Int()
-		if err := checkCount(d, nEv, "flight events"); err != nil {
-			return err
-		}
-		nd.rec.Reset()
-		for i := 0; i < nEv; i++ {
-			var ev metrics.Event
-			ev.Cycle = d.I64()
-			ev.Code = d.U16()
-			ev.Node = int16(d.Int())
-			ev.A = int32(d.I64())
-			ev.B = int32(d.I64())
-			ev.Aux = d.I64()
-			if d.Err() == nil {
+		total := nd.rec.Total()
+		c.I64(&total)
+		if dec {
+			nd.rec.Reset()
+			for _, ev := range evs {
 				nd.rec.Record(ev)
 			}
+			nd.rec.SetTotal(total)
 		}
-		nd.rec.SetTotal(d.I64())
 	}
 
-	fired := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	engineNow := n.now - 1
-	if engineNow < 0 {
-		engineNow = 0
-	}
-	n.events.SetClock(sim.Time(engineNow), fired)
-
-	nDur := d.Int()
-	if err := checkCount(d, nDur, "durable events"); err != nil {
-		return err
-	}
-	for i := 0; i < nDur; i++ {
-		at := d.I64()
-		kind := durableKind(d.U8())
-		a := d.I64()
-		b := d.I64()
-		if err := d.Err(); err != nil {
+	fired := n.events.Fired()
+	checkpoint.Word(c, &fired)
+	engineNow := max(n.now-1, 0)
+	if dec {
+		if err := c.Err(); err != nil {
 			return err
 		}
-		n.scheduleDurable(at, kind, a, b)
+		n.events.SetClock(sim.Time(engineNow), fired)
 	}
 
-	nOR := d.Int()
-	if err := checkCount(d, nOR, "open retries"); err != nil {
-		return err
+	// The durable journal is a map keyed by engine sequence; encoding
+	// writes it in sequence order, and decoding re-inserts it in that
+	// order, which reproduces the engine's FIFO tie-breaking.
+	var durs []durableEvent
+	if !dec {
+		durs = make([]durableEvent, 0, len(n.durables))
+		for _, ev := range n.durables {
+			durs = append(durs, *ev)
+		}
+		sort.Slice(durs, func(i, j int) bool { return durs[i].seq < durs[j].seq })
 	}
-	orIDs := make([]int64, 0, nOR)
-	for i := 0; i < nOR; i++ {
-		id := d.I64()
-		or := &openRetry{}
-		or.src = d.Int()
-		or.dst = d.Int()
-		or.spec = decodeSpec(d)
-		or.attempt = d.Int()
-		if d.Err() == nil {
-			n.openRetries[id] = or
-			orIDs = append(orIDs, id)
+	durs = checkpoint.Slice(c, durs, "durable events")
+	for i := range durs {
+		ev := &durs[i]
+		c.I64(&ev.at)
+		checkpoint.Byte(c, &ev.kind)
+		c.I64(&ev.a)
+		c.I64(&ev.b)
+		if !dec {
+			continue
 		}
-	}
-	n.nextOpenID = d.I64()
-
-	if ver >= 4 {
-		// v4 trailer: tenant owners (conn order, then open-retry order as
-		// written — ascending ID), quota table, promotion bookkeeping.
-		for _, c := range n.conns {
-			c.Tenant = d.String()
+		c.Check("durable event time", int(ev.at), int(engineNow), math.MaxInt)
+		c.Check("durable event kind", int(ev.kind), int(durFault), int(durPromote)+1)
+		switch ev.kind {
+		case durFault:
+			c.Check("fault schedule entry", int(ev.a), 0, len(n.faultSchedule))
+		case durRestore:
+			c.Check("restoring connection", int(ev.a), 0, len(n.conns))
 		}
-		for _, id := range orIDs {
-			n.openRetries[id].tenant = d.String()
-		}
-		nq := d.Int()
-		if err := checkCount(d, nq, "tenant quotas"); err != nil {
+		if err := c.Err(); err != nil {
 			return err
 		}
-		for i := 0; i < nq; i++ {
-			name := d.String()
-			q := admission.TenantQuota{MaxSessions: d.Int(), MaxGuaranteed: d.Int()}
-			if d.Err() == nil {
-				n.tenants.SetQuota(name, q)
-			}
-		}
-		m.connsPromoted = d.I64()
-		n.promoteGen = d.I64()
-	} else {
-		// v3: the old fault lifecycle left degraded connections with the
-		// broken flag still set; normalize to the current invariant
-		// (Degraded implies !broken; only lost keeps broken) so promotion
-		// cannot resurrect a half-broken connection.
-		for _, c := range n.conns {
-			if c.Degraded && !c.lost {
-				c.broken = false
-			}
-		}
+		n.scheduleDurable(ev.at, ev.kind, ev.a, ev.b)
 	}
 
-	if err := d.Err(); err != nil {
+	var ids []int64
+	if !dec {
+		ids = make([]int64, 0, len(n.openRetries))
+		for id := range n.openRetries {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
+	ids = checkpoint.Slice(c, ids, "open retries")
+	for i := range ids {
+		var or *openRetry
+		if dec {
+			or = &openRetry{}
+		} else {
+			or = n.openRetries[ids[i]]
+		}
+		c.I64(&ids[i])
+		c.Bounded(&or.src, nodes, "retry source")
+		c.Bounded(&or.dst, nodes, "retry destination")
+		walkSpec(c, &or.spec)
+		c.Int(&or.attempt)
+		if dec {
+			n.openRetries[ids[i]] = or
+		}
+	}
+	c.I64(&n.nextOpenID)
+
+	// Tenant owners (connection order, then open-retry order), the quota
+	// table, and re-promotion bookkeeping. Tenant usage and degradedLive
+	// are not written: decoding recomputes both from the connections, so
+	// they can never disagree with them.
+	for _, cn := range n.conns {
+		c.String(&cn.Tenant)
+	}
+	for _, id := range ids {
+		c.String(&n.openRetries[id].tenant)
+	}
+	var quotas []string
+	if !dec {
+		for _, name := range n.tenants.Names() {
+			if _, ok := n.tenants.Quota(name); ok {
+				quotas = append(quotas, name)
+			}
+		}
+	}
+	quotas = checkpoint.Slice(c, quotas, "tenant quotas")
+	for i := range quotas {
+		q, _ := n.tenants.Quota(quotas[i])
+		c.String(&quotas[i])
+		c.Int(&q.MaxSessions)
+		c.Int(&q.MaxGuaranteed)
+		c.Check("tenant session quota", q.MaxSessions, 0, math.MaxInt)
+		c.Check("tenant bandwidth quota", q.MaxGuaranteed, 0, math.MaxInt)
+		if dec && c.Err() == nil {
+			n.tenants.SetQuota(quotas[i], q)
+		}
+	}
+	c.I64(&m.connsPromoted)
+	c.I64(&n.promoteGen)
+
+	if err := c.Close(); err != nil || !dec {
 		return err
 	}
-	if r := d.Remaining(); r != 0 {
-		return fmt.Errorf("network: checkpoint has %d trailing bytes", r)
-	}
-	n.rng.Restore(masterRNG)
 
 	// Telemetry tenant slots are observability state, not checkpoint
-	// payload: re-derive them in conn (= ID) order once tenant owners are
-	// known (the v4 trailer above fills c.Tenant; v3 payloads predate
-	// tenants, so everything lands in the default slot). This must run
-	// after the trailer — assignTrackerSlot already derived slots during
-	// the conn loop, but at that point every owner still read as default.
-	for _, c := range n.conns {
-		c.tenantSlot = n.tenantSlotFor(c.Tenant)
+	// payload: re-derive them in conn (= ID) order now that tenant owners
+	// are known (assignTrackerSlot ran before they were, so every owner
+	// still read as the default tenant).
+	for _, cn := range n.conns {
+		cn.tenantSlot = n.tenantSlotFor(cn.Tenant)
 	}
-
-	// Derived admission state: recomputed from the restored connections
-	// (for either version) so counters and charges can never drift from
-	// the sessions they describe. Guaranteed bandwidth is charged while a
-	// session holds (or is awaiting restoration of) a guaranteed path;
-	// a degraded session holds only its session slot.
+	// Admission usage is recomputed from the restored connections, so
+	// counters and charges can never drift from the sessions they
+	// describe. Guaranteed bandwidth is charged while a session holds (or
+	// is awaiting restoration of) a guaranteed path; a degraded session
+	// holds only its session slot.
 	n.degradedLive = 0
 	n.tenants.ResetUsage()
-	for _, c := range n.conns {
-		if c.Degraded && !c.closed {
+	for _, cn := range n.conns {
+		if cn.Degraded && !cn.closed {
 			n.degradedLive++
 		}
-		if c.closed || c.lost {
+		if cn.closed || cn.lost {
 			continue
 		}
 		g := 0
-		if c.open || c.broken {
-			g = n.demandFor(c.Spec).alloc
+		if cn.open || cn.broken {
+			g = n.demandFor(cn.Spec).alloc
 		}
-		n.tenants.RestoreSession(c.Tenant, g)
+		n.tenants.RestoreSession(cn.Tenant, g)
 	}
-
 	if err := n.CheckInvariants(); err != nil {
 		return fmt.Errorf("network: restored state fails the resource audit: %w", err)
 	}
 	return nil
+}
+
+// walkConn walks one connection record: endpoints, spec, path, lifecycle
+// flags, gating state, source and interface queue.
+func (n *Network) walkConn(c *checkpoint.Codec, cn *Conn) {
+	nodes, radix := len(n.nodes), n.cfg.radix()
+	c.Bounded(&cn.Src, nodes, "connection source")
+	c.Bounded(&cn.Dst, nodes, "connection destination")
+	walkSpec(c, &cn.Spec)
+	cn.Path = checkpoint.Slice(c, cn.Path, "path hops")
+	for j := range cn.Path {
+		c.Bounded(&cn.Path[j].Node, nodes, "hop node")
+		c.Bounded(&cn.Path[j].Port, radix, "hop port")
+	}
+	cn.VCs = checkpoint.Slice(c, cn.VCs, "path VCs")
+	for j := range cn.VCs {
+		c.Bounded(&cn.VCs[j].Port, radix, "path VC port")
+		c.Bounded(&cn.VCs[j].VC, n.cfg.VCs, "path VC")
+	}
+	cn.Nodes = checkpoint.Slice(c, cn.Nodes, "path nodes")
+	for j := range cn.Nodes {
+		c.Bounded(&cn.Nodes[j], nodes, "path node")
+	}
+	c.I64(&cn.SetupTime)
+	c.Int(&cn.Backtracks)
+	c.Int(&cn.Restores)
+	c.Bool(&cn.Degraded)
+	c.Bool(&cn.open)
+	c.Bool(&cn.closed)
+	c.Bool(&cn.broken)
+	c.Bool(&cn.lost)
+	c.I64(&cn.brokenAt)
+	c.I64(&cn.lastTick)
+	c.I64(&cn.nextDue)
+	c.I64(&cn.nextSeq)
+	if c.Decoding() {
+		c.Check("connection source tick", int(cn.lastTick), -1, int(n.now))
+		// The resource audit walks a live connection's hops in lockstep:
+		// one VC and one node per hop plus the destination's.
+		if !cn.closed && !cn.broken && !cn.Degraded {
+			c.Check("live connection VC count", len(cn.VCs), len(cn.Path)+1, len(cn.Path)+2)
+			c.Check("live connection node count", len(cn.Nodes), len(cn.VCs), len(cn.VCs)+1)
+		}
+	}
+	hasSrc := cn.src != nil
+	c.Bool(&hasSrc)
+	if hasSrc {
+		if c.Decoding() {
+			// Built against the owning node's RNG; no constructor here
+			// draws randomness, so the streams stay aligned until the
+			// per-node RNG states are restored.
+			if cn.Spec.Class == flit.ClassVBR {
+				cn.src = traffic.NewVBRSource(n.nodes[cn.Src].rng, n.cfg.Link, cn.Spec.Rate, cn.Spec.PeakRate, traffic.DefaultGoP())
+			} else {
+				cn.src = traffic.NewCBRSource(n.cfg.Link, cn.Spec.Rate, 0)
+			}
+		}
+		walkSource(c, cn.src)
+	}
+	n.walkRing(c, n.nodes[cn.Src], &cn.niQueue, "interface queue")
+}
+
+// walkFlow walks one best-effort flow record.
+func (n *Network) walkFlow(c *checkpoint.Codec, bf *beFlow) {
+	nodes := len(n.nodes)
+	checkpoint.Word(c, &bf.id)
+	c.Bounded(&bf.src, nodes, "flow source")
+	c.Bounded(&bf.dst, nodes, "flow destination")
+	checkpoint.Word(c, &bf.conn)
+	c.Check("flow owner connection", int(bf.conn), int(flit.InvalidConn), len(n.conns))
+	var tag uint8 // 0: Poisson best-effort, 1: CBR (a degraded session's fallback)
+	if _, ok := bf.gen.(*traffic.CBRSource); ok {
+		tag = 1
+	}
+	c.U8(&tag)
+	if c.Decoding() {
+		switch tag {
+		case 0:
+			// The constructor draws one inter-arrival from the node RNG;
+			// the draw is undone when node RNG states are restored, and
+			// the state walk reinstates the true next arrival.
+			bf.gen = traffic.NewBestEffortSource(n.nodes[bf.src].rng, 1)
+		case 1:
+			bf.gen = traffic.NewCBRSource(n.cfg.Link, 0, 0)
+		default:
+			c.Fail(fmt.Errorf("network: checkpoint flow %d has unknown generator tag %d", bf.id, tag))
+		}
+	}
+	walkSource(c, bf.gen)
+	c.I64(&bf.lastTick)
+	c.I64(&bf.nextDue)
+	c.Check("flow source tick", int(bf.lastTick), -1, int(n.now))
+	n.walkRing(c, n.nodes[bf.src], &bf.niQueue, "flow interface queue")
+}
+
+// walkPort walks one port's state on nd: reserved VCs, buffered flits,
+// spent shadow credits and upstream pointers (each a sparse list of
+// VCs), admission registers, link-scheduler state, and the outbound
+// flit and credit lanes.
+func (n *Network) walkPort(c *checkpoint.Codec, nd *node, p int) {
+	dec := c.Decoding()
+	vcs, depth := n.cfg.VCs, n.cfg.Depth
+	mem := nd.mems[p]
+
+	// Reserved and buffered VCs are sparse lists, found while encoding by
+	// the memory's status vectors (reserved = InUse, available = Len > 0).
+	reserved := mem.ReservedVector()
+	k := reserved.Count()
+	c.Count(&k, "reserved VCs")
+	for i, vc := 0, -1; i < k; i++ {
+		if !dec {
+			vc = reserved.NextSet(vc + 1)
+		}
+		c.Bounded(&vc, vcs, "reserved VC")
+		st := mem.State(vc)
+		serviced := mem.Serviced(vc)
+		checkpoint.Word(c, &st.Conn)
+		checkpoint.Byte(c, &st.Class)
+		c.Int(&st.Allocated)
+		c.Int(&st.Peak)
+		c.Int(&serviced)
+		c.Int(&st.BasePriority)
+		c.F64(&st.Bias)
+		c.F64(&st.InterArrival)
+		c.Int(&st.Output)
+		if dec {
+			c.Check("VC connection", int(st.Conn), int(flit.InvalidConn), len(n.conns))
+			c.Check("VC class", int(st.Class), 0, flit.NumClasses)
+			c.Check("VC output port", st.Output, -1, n.cfg.radix())
+			st.InUse = true
+			mem.RestoreState(vc, *st)
+			mem.SetServiced(vc, serviced)
+		}
+	}
+
+	buffered := mem.FlitsAvailable()
+	k = buffered.Count()
+	c.Count(&k, "buffered VCs")
+	for i, vc := 0, -1; i < k; i++ {
+		if !dec {
+			vc = buffered.NextSet(vc + 1)
+		}
+		c.Bounded(&vc, vcs, "buffered VC")
+		ln := mem.Len(vc)
+		c.Bounded(&ln, depth+1, "buffered flit count")
+		for j := 0; j < ln; j++ {
+			if !dec {
+				n.walkFlit(c, nd, mem.FlitAt(vc, j))
+			} else if !mem.Push(vc, n.walkFlit(c, nd, nil)) {
+				c.Fail(fmt.Errorf("network: checkpoint overflows VC %d on node %d port %d", vc, nd.id, p))
+			}
+		}
+	}
+
+	credits := nd.shadow[p]
+	k = 0
+	if !dec {
+		for vc := 0; vc < vcs; vc++ {
+			if credits.Available(vc) != depth {
+				k++
+			}
+		}
+	}
+	c.Count(&k, "shadow credits")
+	for i, vc := 0, -1; i < k; i++ {
+		if !dec {
+			for vc++; credits.Available(vc) == depth; vc++ {
+			}
+		}
+		c.Bounded(&vc, vcs, "credited VC")
+		avail := credits.Available(vc)
+		c.Bounded(&avail, depth+1, "credit count")
+		if dec {
+			credits.SetAvailable(vc, avail)
+		}
+	}
+
+	ups := nd.upstream[p]
+	k = 0
+	if !dec {
+		for vc := 0; vc < vcs; vc++ {
+			if ups[vc] != noUpstream {
+				k++
+			}
+		}
+	}
+	c.Count(&k, "upstream refs")
+	for i, vc := 0, -1; i < k; i++ {
+		if !dec {
+			for vc++; ups[vc] == noUpstream; vc++ {
+			}
+		}
+		c.Bounded(&vc, vcs, "upstream VC")
+		n.walkUpRef(c, &ups[vc])
+	}
+
+	a := nd.alloc[p]
+	g, pk, cns := a.Guaranteed(), a.PeakTotal(), a.Connections()
+	c.Int(&g)
+	c.Int(&pk)
+	c.Int(&cns)
+	if dec {
+		c.Fail(a.RestoreState(g, pk, cns))
+	}
+
+	excess, lc := nd.links[p].ExportState()
+	c.Int(&excess)
+	c.Check("excess VC", excess, -1, vcs)
+	c.I64(&lc.Nominated)
+	c.I64(&lc.CreditStalled)
+	c.I64(&lc.RoundExhausted)
+	c.I64(&lc.BiasBoosted)
+	if dec {
+		nd.links[p].RestoreState(excess, lc)
+	}
+
+	pend := checkpoint.Slice(c, nd.pipes[p].pending(), "pipe entries")
+	for i := range pend {
+		lf := &pend[i]
+		c.I64(&lf.arriveAt)
+		c.Bounded(&lf.vc, vcs, "pipe VC")
+		f := n.walkFlit(c, nd, lf.f)
+		if dec {
+			nd.pipes[p].push(linkFlit{arriveAt: lf.arriveAt, vc: lf.vc, f: f})
+		}
+	}
+
+	cpend := checkpoint.Slice(c, nd.credOut[p].pending(), "credit entries")
+	for i := range cpend {
+		c.I64(&cpend[i].arriveAt)
+		n.walkUpRef(c, &cpend[i].to)
+		if dec {
+			nd.credOut[p].push(cpend[i])
+		}
+	}
+}
+
+// walkUpRef walks a pointer at an upstream buffer slot.
+func (n *Network) walkUpRef(c *checkpoint.Codec, r *upRef) {
+	node, port, vc := int(r.node), int(r.port), int(r.vc)
+	c.Bounded(&node, len(n.nodes), "upstream node")
+	c.Bounded(&port, n.cfg.radix(), "upstream port")
+	c.Bounded(&vc, n.cfg.VCs, "upstream VC")
+	if c.Decoding() {
+		*r = upRef{node: int32(node), port: int16(port), vc: int16(vc)}
+	}
+}
+
+// walkRing walks a flit queue; decoded flits come from nd's pool.
+func (n *Network) walkRing(c *checkpoint.Codec, nd *node, q *flit.Ring, what string) {
+	k := q.Len()
+	c.Count(&k, what)
+	for i := 0; i < k; i++ {
+		if c.Decoding() {
+			q.Push(n.walkFlit(c, nd, nil))
+		} else {
+			n.walkFlit(c, nd, q.At(i))
+		}
+	}
+}
+
+// walkFlit walks one flit and returns it. Decoding ignores f and draws
+// the flit from nd's pool (the node that owns it after restore).
+// Probe-carrying packets never appear in the datapath (establishment is
+// synchronous); meeting one while encoding is a checkpoint bug.
+func (n *Network) walkFlit(c *checkpoint.Codec, nd *node, f *flit.Flit) *flit.Flit {
+	dec := c.Decoding()
+	if dec {
+		f = nd.pool.Get()
+	}
+	checkpoint.Word(c, &f.Conn)
+	checkpoint.Byte(c, &f.Class)
+	checkpoint.Byte(c, &f.Type)
+	c.I64(&f.Seq)
+	c.I64(&f.CreatedAt)
+	c.I64(&f.ReadyAt)
+	c.I64(&f.HeadAt)
+	checkpoint.Word(c, &f.SrcPort)
+	checkpoint.Word(c, &f.DstPort)
+	checkpoint.Word(c, &f.Src)
+	checkpoint.Word(c, &f.Dst)
+	if dec {
+		c.Check("flit connection", int(f.Conn), int(flit.InvalidConn), len(n.conns))
+		c.Check("flit class", int(f.Class), 0, flit.NumClasses)
+		c.Check("flit source", int(f.Src), 0, len(n.nodes))
+		c.Check("flit destination", int(f.Dst), 0, len(n.nodes))
+	}
+	hasPkt := f.Packet != nil
+	c.Bool(&hasPkt)
+	if !hasPkt {
+		return f
+	}
+	if dec {
+		f.Packet = nd.pool.GetPacket()
+	} else if f.Packet.Probe != nil {
+		c.Fail(fmt.Errorf("network: cannot checkpoint a probe-carrying packet (packet %d)", f.Packet.ID))
+	}
+	pk := f.Packet
+	c.I64(&pk.ID)
+	checkpoint.Byte(c, &pk.Kind)
+	checkpoint.Word(c, &pk.Src)
+	checkpoint.Word(c, &pk.Dst)
+	c.Int(&pk.Size)
+	c.I64(&pk.CreatedAt)
+	c.Bool(&pk.WentDown)
+	return f
+}
+
+// walkRNG walks an RNG stream's state.
+func walkRNG(c *checkpoint.Codec, r *sim.RNG) {
+	st := r.State()
+	checkpoint.Word(c, &st.S0)
+	checkpoint.Word(c, &st.S1)
+	c.F64(&st.Gauss)
+	c.Bool(&st.HaveGauss)
+	if c.Decoding() {
+		r.Restore(st)
+	}
+}
+
+// walkAcc walks a running-statistics accumulator.
+func walkAcc(c *checkpoint.Codec, a *stats.Accumulator) {
+	st := a.State()
+	c.I64(&st.N)
+	c.F64(&st.Mean)
+	c.F64(&st.M2)
+	c.F64(&st.Min)
+	c.F64(&st.Max)
+	if c.Decoding() {
+		a.Restore(st)
+	}
+}
+
+// walkSpec walks a connection spec.
+func walkSpec(c *checkpoint.Codec, s *traffic.ConnSpec) {
+	checkpoint.Byte(c, &s.Class)
+	rate, peak := float64(s.Rate), float64(s.PeakRate)
+	c.F64(&rate)
+	c.F64(&peak)
+	s.Rate, s.PeakRate = traffic.Rate(rate), traffic.Rate(peak)
+	c.Int(&s.In)
+	c.Int(&s.Out)
+	c.Int(&s.Priority)
+}
+
+// walkSource walks a traffic source's mutable state. The concrete type
+// is implied by the record that owns the source, so none is written.
+func walkSource(c *checkpoint.Codec, src traffic.Source) {
+	dec := c.Decoding()
+	switch s := src.(type) {
+	case *traffic.VBRSource:
+		st := s.ExportState()
+		c.Int(&st.FrameIdx)
+		c.Check("VBR frame index", st.FrameIdx, 0, math.MaxInt)
+		c.F64(&st.NextFrame)
+		c.F64(&st.Backlog)
+		c.F64(&st.Acc)
+		c.F64(&st.PerCycle)
+		if dec {
+			s.RestoreState(st)
+		}
+	case *traffic.CBRSource:
+		st := s.ExportState()
+		c.F64(&st.PerCycle)
+		c.F64(&st.Acc)
+		if dec {
+			s.RestoreState(st)
+		}
+	case *traffic.BestEffortSource:
+		st := s.ExportState()
+		c.F64(&st.Rate)
+		c.F64(&st.Next)
+		if dec {
+			s.RestoreState(st)
+		}
+	default:
+		c.Fail(fmt.Errorf("network: unserializable traffic source %T", src))
+	}
 }
 
 // quiesce applies every lazy catch-up the gated datapath has deferred —
@@ -1038,10 +849,7 @@ func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
 // cycles — so the encoded state is canonical: a gated and an ungated
 // run of the same fabric checkpoint to identical bytes. Each catch-up
 // is exactly what the node would perform on its next active cycle, so
-// quiescing is unobservable to the continuing simulation. The forecast
-// contract guarantees elided cycles carry no emissions and no RNG
-// draws; a tick that produces flits here indicates a forecast bug and
-// aborts the checkpoint.
+// quiescing is unobservable to the continuing simulation.
 func (n *Network) quiesce() error {
 	if n.now == 0 {
 		return nil
@@ -1060,21 +868,29 @@ func (n *Network) quiesce() error {
 		if !c.open || c.src == nil {
 			continue
 		}
-		for ct := c.lastTick + 1; ct <= t; ct++ {
-			if k := c.src.Tick(ct); k != 0 {
-				return fmt.Errorf("network: connection %d was due %d flits during elided cycle %d", c.ID, k, ct)
-			}
+		if err := catchUpSource(c.src, &c.lastTick, t); err != nil {
+			return fmt.Errorf("network: connection %d %w", c.ID, err)
 		}
-		c.lastTick = t
 	}
 	for i, bf := range n.beFlows {
-		for ct := bf.lastTick + 1; ct <= t; ct++ {
-			if k := bf.gen.Tick(ct); k != 0 {
-				return fmt.Errorf("network: best-effort flow %d was due %d packets during elided cycle %d", i, k, ct)
-			}
+		if err := catchUpSource(bf.gen, &bf.lastTick, t); err != nil {
+			return fmt.Errorf("network: best-effort flow %d %w", i, err)
 		}
-		bf.lastTick = t
 	}
+	return nil
+}
+
+// catchUpSource ticks src across the cycles after *lastTick up to t that
+// a gated engine elided, and advances *lastTick to t. The forecast
+// contract guarantees elided cycles carry no emissions and no RNG draws;
+// a tick that emits indicates a forecast bug and is reported.
+func catchUpSource(src traffic.Source, lastTick *int64, t int64) error {
+	for ct := *lastTick + 1; ct <= t; ct++ {
+		if k := src.Tick(ct); k != 0 {
+			return fmt.Errorf("was due %d flits during elided cycle %d", k, ct)
+		}
+	}
+	*lastTick = t
 	return nil
 }
 
@@ -1099,11 +915,11 @@ func RestoreCheckpoint(cfg Config, path string) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, ver, err := checkpoint.ReadFile(path, n.ConfigHash())
+	payload, err := checkpoint.ReadFile(path, n.ConfigHash())
 	if err != nil {
 		return nil, err
 	}
-	if err := n.RestoreStateVersion(payload, ver); err != nil {
+	if err := n.RestoreState(payload); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -1202,201 +1018,6 @@ func (n *Network) QuiesceProbes(limit int64) error {
 				n.activeProbes, n.events.Pending()-len(n.durables), limit)
 		}
 		n.Step()
-	}
-	return nil
-}
-
-// --- encoding helpers ---
-
-func encodeRNG(e *checkpoint.Encoder, st sim.RNGState) {
-	e.U64(st.S0)
-	e.U64(st.S1)
-	e.F64(st.Gauss)
-	e.Bool(st.HaveGauss)
-}
-
-func decodeRNG(d *checkpoint.Decoder) sim.RNGState {
-	return sim.RNGState{S0: d.U64(), S1: d.U64(), Gauss: d.F64(), HaveGauss: d.Bool()}
-}
-
-func encodeAcc(e *checkpoint.Encoder, a *stats.Accumulator) {
-	st := a.State()
-	e.I64(st.N)
-	e.F64(st.Mean)
-	e.F64(st.M2)
-	e.F64(st.Min)
-	e.F64(st.Max)
-}
-
-func decodeAcc(d *checkpoint.Decoder, a *stats.Accumulator) {
-	a.Restore(stats.AccumulatorState{N: d.I64(), Mean: d.F64(), M2: d.F64(), Min: d.F64(), Max: d.F64()})
-}
-
-func encodeSpec(e *checkpoint.Encoder, s traffic.ConnSpec) {
-	e.U8(uint8(s.Class))
-	e.F64(float64(s.Rate))
-	e.F64(float64(s.PeakRate))
-	e.Int(s.In)
-	e.Int(s.Out)
-	e.Int(s.Priority)
-}
-
-func decodeSpec(d *checkpoint.Decoder) traffic.ConnSpec {
-	return traffic.ConnSpec{
-		Class:    flit.Class(d.U8()),
-		Rate:     traffic.Rate(d.F64()),
-		PeakRate: traffic.Rate(d.F64()),
-		In:       d.Int(),
-		Out:      d.Int(),
-		Priority: d.Int(),
-	}
-}
-
-// encodeConnSource serializes a connection's traffic source state; the
-// concrete type is implied by the connection class.
-func encodeConnSource(e *checkpoint.Encoder, c *Conn) error {
-	switch s := c.src.(type) {
-	case *traffic.VBRSource:
-		st := s.ExportState()
-		e.Int(st.FrameIdx)
-		e.F64(st.NextFrame)
-		e.F64(st.Backlog)
-		e.F64(st.Acc)
-		e.F64(st.PerCycle)
-	case *traffic.CBRSource:
-		st := s.ExportState()
-		e.F64(st.PerCycle)
-		e.F64(st.Acc)
-	default:
-		return fmt.Errorf("network: connection %d has unserializable source %T", c.ID, c.src)
-	}
-	return nil
-}
-
-func decodeVBRState(d *checkpoint.Decoder) traffic.VBRState {
-	return traffic.VBRState{
-		FrameIdx:  d.Int(),
-		NextFrame: d.F64(),
-		Backlog:   d.F64(),
-		Acc:       d.F64(),
-		PerCycle:  d.F64(),
-	}
-}
-
-func decodeCBRState(d *checkpoint.Decoder) traffic.CBRState {
-	return traffic.CBRState{PerCycle: d.F64(), Acc: d.F64()}
-}
-
-// encodeFlit serializes one flit. Probe-carrying packets never appear
-// in the network datapath (establishment is synchronous); hitting one
-// is a checkpoint bug, not a user error.
-func encodeFlit(e *checkpoint.Encoder, f *flit.Flit) error {
-	e.I64(int64(f.Conn))
-	e.U8(uint8(f.Class))
-	e.U8(uint8(f.Type))
-	e.I64(f.Seq)
-	e.I64(f.CreatedAt)
-	e.I64(f.ReadyAt)
-	e.I64(f.HeadAt)
-	e.Int(int(f.SrcPort))
-	e.Int(int(f.DstPort))
-	e.I64(int64(f.Src))
-	e.I64(int64(f.Dst))
-	e.Bool(f.Packet != nil)
-	if f.Packet != nil {
-		pk := f.Packet
-		if pk.Probe != nil {
-			return fmt.Errorf("network: cannot checkpoint a probe-carrying packet (packet %d)", pk.ID)
-		}
-		e.I64(pk.ID)
-		e.U8(uint8(pk.Kind))
-		e.I64(int64(pk.Src))
-		e.I64(int64(pk.Dst))
-		e.Int(pk.Size)
-		e.I64(pk.CreatedAt)
-		e.Bool(pk.WentDown)
-	}
-	return nil
-}
-
-// decodeFlit materializes one flit from nd's pool (the node that will
-// own it after restore). Returns nil once the decoder has errored.
-func decodeFlit(d *checkpoint.Decoder, nd *node) *flit.Flit {
-	f := nd.pool.Get()
-	f.Conn = flit.ConnID(d.I64())
-	f.Class = flit.Class(d.U8())
-	f.Type = flit.Type(d.U8())
-	f.Seq = d.I64()
-	f.CreatedAt = d.I64()
-	f.ReadyAt = d.I64()
-	f.HeadAt = d.I64()
-	f.SrcPort = int16(d.Int())
-	f.DstPort = int16(d.Int())
-	f.Src = int32(d.I64())
-	f.Dst = int32(d.I64())
-	if d.Bool() {
-		pk := nd.pool.GetPacket()
-		pk.ID = d.I64()
-		pk.Kind = flit.PacketKind(d.U8())
-		pk.Src = int32(d.I64())
-		pk.Dst = int32(d.I64())
-		pk.Size = d.Int()
-		pk.CreatedAt = d.I64()
-		pk.WentDown = d.Bool()
-		f.Packet = pk
-	}
-	if d.Err() != nil {
-		nd.pool.Put(f)
-		return nil
-	}
-	return f
-}
-
-func decodeI64s(d *checkpoint.Decoder) []int64 {
-	n := d.Int()
-	if d.Err() != nil || n < 0 || n > d.Remaining()/8 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
-	}
-	return out
-}
-
-func decodeF64s(d *checkpoint.Decoder) []float64 {
-	n := d.Int()
-	if d.Err() != nil || n < 0 || n > d.Remaining()/8 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
-}
-
-// checkCount validates a decoded element count: the decoder must still
-// be healthy and the count must be non-negative and small enough that
-// the remaining payload could plausibly hold it (every element is at
-// least one byte), so a corrupted count cannot drive a giant loop.
-func checkCount(d *checkpoint.Decoder, n int, what string) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > d.Remaining() {
-		return fmt.Errorf("network: checkpoint %s count %d is implausible (%d bytes remain)", what, n, d.Remaining())
-	}
-	return nil
-}
-
-// checkVC validates a decoded VC index.
-func checkVC(d *checkpoint.Decoder, n *Network, vc int) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if vc < 0 || vc >= n.cfg.VCs {
-		return fmt.Errorf("network: checkpoint names VC %d outside [0,%d)", vc, n.cfg.VCs)
 	}
 	return nil
 }

@@ -2,21 +2,25 @@ package network
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"mmr/internal/checkpoint"
+	"mmr/internal/flit"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
-
-	"mmr/internal/flit"
 )
 
 // detConfig rebuilds the detScenario configuration on a fresh topology
 // (topologies carry mutable link state, so restored networks need their
 // own) with the given execution strategy.
-func detConfig(t *testing.T, workers int, noIdleSkip bool) Config {
+func detConfig(t testing.TB, workers int, noIdleSkip bool) Config {
 	t.Helper()
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {
@@ -213,4 +217,148 @@ func TestCheckpointCorruptPayloadRejected(t *testing.T) {
 		!strings.Contains(err.Error(), "trailing") {
 		t.Errorf("restore with trailing bytes: got %v, want trailing-bytes refusal", err)
 	}
+}
+
+// TestCheckpointPayloadGolden pins the payload layout: the sha256 of the
+// fault-plan determinism scenario's EncodeState at cycle 1200. Round
+// trips cannot see a layout change that encode and decode make together;
+// this hash can. A deliberate layout change bumps checkpoint.Version and
+// re-records the hash.
+func TestCheckpointPayloadGolden(t *testing.T) {
+	const want = "805f00c801d28ee63ad7f40879625e874bfbd5d37dad73bf0ca4af69651197d8"
+	n := buildDetNetwork(t, 1, true)
+	defer n.Shutdown()
+	n.Run(1200)
+	snap, err := n.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != want {
+		t.Errorf("payload sha256 %s (%d bytes), want %s", got, len(snap), want)
+	}
+}
+
+// corruptSnapshot is the payload the corruption tests mutate: the
+// fault-plan determinism scenario at cycle 800.
+func corruptSnapshot(t testing.TB) []byte {
+	ref := buildDetNetwork(t, 1, true)
+	defer ref.Shutdown()
+	ref.Run(800)
+	snap, err := ref.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// corruptSites are words that used to panic during restore, one per
+// site, each found by overwriting 8-byte words across corruptSnapshot:
+// an unchecked value reached the event engine's clock, the resource
+// audit, a VC array, a channel-map index or an admission register. The
+// offsets are pinned to the snapshot's layout, which
+// TestCheckpointPayloadGolden guards.
+var corruptSites = []struct {
+	site   string
+	offset int
+	word   int64
+	want   string
+}{
+	{"clock after a durable event", 0, 1000, "durable event time"},
+	{"audit: connection node", 17226, 17, "path node 17"},
+	{"audit: connection hop", 17110, 17, "hop node"},
+	{"VC memory index", 17168, 1 << 40, "path VC"},
+	{"channel-map VC", 80910, 17, "mapped VC"},
+	{"channel-map port", 80881, 1 << 40, "mapped port"},
+	{"admission registers", 80156, -1, "negative restored state"},
+}
+
+// patch overwrites little-endian 8-byte words of payload as ops directs:
+// each 12-byte op is a uint32 offset (taken modulo the payload length)
+// followed by the word. A trailing partial op truncates the payload to
+// its first byte's share of the length.
+func patch(payload, ops []byte) []byte {
+	buf := append([]byte(nil), payload...)
+	for ; len(ops) >= 12; ops = ops[12:] {
+		off := int(binary.LittleEndian.Uint32(ops) % uint32(len(buf)-7))
+		copy(buf[off:off+8], ops[4:12])
+	}
+	if len(ops) > 0 {
+		buf = buf[:len(buf)*int(ops[0])/256]
+	}
+	return buf
+}
+
+// patchOp encodes one patch op writing word at offset.
+func patchOp(offset int, word int64) []byte {
+	op := binary.LittleEndian.AppendUint32(nil, uint32(offset))
+	return binary.LittleEndian.AppendUint64(op, uint64(word))
+}
+
+// TestRestoreStateRejectsCorruptFields: each corruptSites word must be a
+// decoding error naming the field, not a panic.
+func TestRestoreStateRejectsCorruptFields(t *testing.T) {
+	snap := corruptSnapshot(t)
+	if len(snap) != 82655 {
+		t.Fatalf("payload is %d bytes, want 82655: the layout moved, re-derive the offsets", len(snap))
+	}
+	for _, tc := range corruptSites {
+		n, err := New(detConfig(t, 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = n.RestoreState(patch(snap, patchOp(tc.offset, tc.word)))
+		n.Shutdown()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s (word %d at offset %d): got %v, want an error containing %q", tc.site, tc.word, tc.offset, err, tc.want)
+		}
+	}
+}
+
+// FuzzRestoreState corrupts a valid payload — overwriting words and
+// truncating it as patch directs — seals it again with a good CRC, and
+// restores it. The restore must fail with an error or yield a fabric
+// that passes the resource audit; it must never panic, and no length
+// field may drive an allocation out of proportion to the payload.
+func FuzzRestoreState(f *testing.F) {
+	snap := corruptSnapshot(f)
+	f.Add([]byte{})
+	f.Add([]byte{128})
+	for _, tc := range corruptSites {
+		f.Add(patchOp(tc.offset, tc.word))
+	}
+	hash := func() uint64 {
+		n, err := New(detConfig(f, 1, false))
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer n.Shutdown()
+		return n.ConfigHash()
+	}()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		_, payload, err := checkpoint.Open(checkpoint.Seal(hash, patch(snap, ops)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(detConfig(t, 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Shutdown()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = n.RestoreState(payload)
+		runtime.ReadMemStats(&after)
+		// A restore's allocations are bounded by its input: every count is
+		// capped by the bytes that remain, the largest decoded record is
+		// under 128 bytes, and the per-node structures preexist.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(payload))+1<<20 {
+			t.Fatalf("restore of %d bytes allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("restored fabric fails the resource audit: %v", err)
+		}
+	})
 }

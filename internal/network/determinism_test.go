@@ -31,7 +31,7 @@ func detScenario(t *testing.T, workers int, withFaults bool) (*Stats, []SessionE
 // 48 connections, best-effort flows, optional fault plan — without
 // running it, so tests needing a live network handle (metrics,
 // flight-recorder) share the exact same scenario.
-func buildDetNetwork(t *testing.T, workers int, withFaults bool) *Network {
+func buildDetNetwork(t testing.TB, workers int, withFaults bool) *Network {
 	t.Helper()
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {

@@ -41,6 +41,15 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	if rate <= 0 {
 		return fmt.Errorf("network: invalid rate %v", rate)
 	}
+	// A gated engine may not have ticked the source since its node fell
+	// asleep. Those elided cycles belong to the old rate: replay them now,
+	// as the ungated engine already has, or the next catch-up would replay
+	// them at the new rate and emit flits the old forecast ruled out.
+	if c.src != nil {
+		if err := catchUpSource(c.src, &c.lastTick, n.now-1); err != nil {
+			return fmt.Errorf("network: connection %d %w", c.ID, err)
+		}
+	}
 	oldSpec := c.Spec
 	newSpec := oldSpec
 	newSpec.Rate = rate

@@ -2,13 +2,11 @@ package network
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mmr/internal/admission"
-	"mmr/internal/checkpoint"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
 	"mmr/internal/sim"
@@ -435,87 +433,6 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	}
 	if err := n2.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCheckpointDecodesPreviousVersion fabricates a genuine version-3
-// checkpoint (the v4 additions are a strict trailer, so the payload
-// prefix IS what a v3 writer produced) and restores it: tenant state
-// defaults, usage is recomputed from the restored sessions, and the
-// fabric re-encodes at v4 byte-identically to the live one.
-func TestCheckpointDecodesPreviousVersion(t *testing.T) {
-	n, victims := chainPromotionScenario(t, defaultOpen)
-	defer n.Shutdown()
-
-	payload, trailerStart, err := n.encodeStateParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trailerStart >= len(payload) {
-		t.Fatalf("v4 trailer is empty (start %d of %d)", trailerStart, len(payload))
-	}
-	cfg2 := chainPromotionConfig(t)
-	path := filepath.Join(t.TempDir(), "v3.ckpt")
-	v3 := checkpoint.SealAt(3, n.ConfigHash(), payload[:trailerStart])
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	n2, err := RestoreCheckpoint(cfg2, path)
-	if err != nil {
-		t.Fatalf("restore v3 checkpoint: %v", err)
-	}
-	defer n2.Shutdown()
-	if n2.Now() != n.Now() {
-		t.Fatalf("clock %d, want %d", n2.Now(), n.Now())
-	}
-	if got := n2.DegradedLive(); got != len(victims) {
-		t.Fatalf("restored DegradedLive = %d, want %d", got, len(victims))
-	}
-	// The default tenant's recomputed usage covers every live session,
-	// none of which holds guaranteed bandwidth while degraded.
-	if u := n2.Tenants().Usage(""); u.Sessions != len(victims) || u.Guaranteed != 0 {
-		t.Fatalf("recomputed default-tenant usage %+v, want %d sessions / 0 guaranteed", u, len(victims))
-	}
-	// With no tenant quotas and no promotion history in the live fabric
-	// either, the v4 re-encode matches the original bit for bit.
-	reenc, err := n2.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(payload, reenc) {
-		t.Fatalf("v3-restored fabric re-encodes differently at v4 (%d vs %d bytes)", len(payload), len(reenc))
-	}
-	// And it behaves identically: repair the link in both fabrics, let
-	// the fallback backlog drain, then fire a close trigger — both
-	// promote the same population to the same end state.
-	for _, f := range []*Network{n, n2} {
-		if err := f.RestoreLink(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		f.Run(3000)
-		dummy, err := f.Open(0, 2, victimSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(dummy); err != nil {
-			t.Fatal(err)
-		}
-		f.Run(2000)
-	}
-	a, err := n.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n2.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("v3-restored fabric diverged from the live one after promotion")
-	}
-	if got := n2.DegradedLive(); got != 0 {
-		t.Fatalf("%d sessions degraded after repair in the v3-restored fabric", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -224,5 +225,48 @@ func TestModifyBandwidth(t *testing.T) {
 	}
 	if err := n.ModifyBandwidth(c, 20*traffic.Mbps); err == nil {
 		t.Error("modify on a closed connection succeeded")
+	}
+}
+
+// TestModifyBandwidthWhileSourceSleeps: a CBR source whose node the
+// gated engine has put to sleep still owes the elided cycles at its old
+// rate. Retuning it must not replay them at the new rate — that emits
+// flits in cycles the old forecast ruled out, and the next checkpoint
+// refuses. Gated and ungated fabrics must checkpoint to the same bytes.
+func TestModifyBandwidthWhileSourceSleeps(t *testing.T) {
+	run := func(noIdleSkip bool) []byte {
+		tp, err := topology.Mesh(3, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.Seed = 5
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Shutdown()
+		// ~1 flit every few hundred cycles: the source node sleeps between.
+		c, err := n.Open(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(1000)
+		if !noIdleSkip && c.lastTick >= n.Now()-1 {
+			t.Fatalf("gated source node never slept (last tick %d at cycle %d)", c.lastTick, n.Now())
+		}
+		if err := n.ModifyBandwidth(c, 40*traffic.Mbps); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(1000)
+		snap, err := n.EncodeState()
+		if err != nil {
+			t.Fatalf("NoIdleSkip=%v: %v", noIdleSkip, err)
+		}
+		return snap
+	}
+	if gated, ungated := run(false), run(true); !bytes.Equal(gated, ungated) {
+		t.Fatalf("gated and ungated checkpoints differ after ModifyBandwidth (%d vs %d bytes)", len(gated), len(ungated))
 	}
 }
